@@ -13,6 +13,10 @@ echo "== tier-1 test suite =="
 python -m pytest -q
 
 echo
+echo "== end-to-end benchmark's own tests (fingerprint, layer accounting) =="
+python -m pytest perfbench -q
+
+echo
 echo "== static analysis (python -m repro lint) =="
 mkdir -p benchmarks/results
 python -m repro lint --sarif benchmarks/results/lint.sarif

@@ -177,6 +177,18 @@ class _Condition(Event):
     def _results(self) -> dict[Event, Any]:
         return {e: e._value for e in self.events if e.processed and e.ok}
 
+    def _detach(self) -> None:
+        """Unhook from the children that have not occurred yet.
+
+        A triggered condition ignores them, and a losing child may be a
+        long timeout (an ack deadline) that would otherwise keep this
+        condition and its results alive until it fires.
+        """
+        on_child = self._on_child
+        for event in self.events:
+            if not event.processed and on_child in event.callbacks:
+                event.callbacks.remove(on_child)
+
 
 class AnyOf(_Condition):
     """Triggers when the first of the given events occurs."""
@@ -190,6 +202,7 @@ class AnyOf(_Condition):
             self.fail(event._exception)  # type: ignore[arg-type]
         else:
             self.succeed(self._results())
+        self._detach()
 
 
 class AllOf(_Condition):
@@ -202,6 +215,7 @@ class AllOf(_Condition):
             return
         if not event.ok:
             self.fail(event._exception)  # type: ignore[arg-type]
+            self._detach()
             return
         if all(e.processed for e in self.events):
             self.succeed(self._results())

@@ -2,10 +2,13 @@
 
 An overlay-multicast streaming tree (one source, two children).  Every
 participant keeps a *tamper-evident log* — a hash chain of all messages
-sent and received.  A witness assigned to the source audits the log:
-it fetches the entries since its last audit (with a nonce for
-freshness), replays them against a reference deterministic
-implementation and flags any divergence.
+sent and received.  A witness assigned to the source audits the log
+incrementally: it keeps the segments it has already audited, fetches
+only the entries since its last audit (with a nonce for freshness),
+hash-checks them against the last audited authenticator, replays them
+against a reference deterministic implementation and flags any
+divergence.  A log whose audited prefix was since truncated or
+rewritten is itself a fault.
 
 TNIC's contribution (vs the original PeerReview) is that messages carry
 hardware attestations with monotonic counters, so receivers need not
@@ -36,8 +39,11 @@ from repro.tee.providers import make_provider
 # Tamper-evident log
 # ---------------------------------------------------------------------------
 
+#: The authenticator the first record chains from.
+_GENESIS = b"\x00" * 32
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class LogRecord:
     """One entry of the hash-chained log."""
 
@@ -54,7 +60,7 @@ class TamperEvidentLog:
         self.records: list[LogRecord] = []
 
     def append(self, direction: str, data: bytes) -> LogRecord:
-        prev = self.records[-1].authenticator if self.records else b"\x00" * 32
+        prev = self.records[-1].authenticator if self.records else _GENESIS
         record = LogRecord(
             index=len(self.records),
             direction=direction,
@@ -72,7 +78,7 @@ class TamperEvidentLog:
 
     def verify_chain(self) -> int | None:
         """Return the index of the first broken link, or None if intact."""
-        prev = b"\x00" * 32
+        prev = _GENESIS
         for record in self.records:
             expected = sha256(prev, record.direction, record.data)
             if record.authenticator != expected:
@@ -209,10 +215,15 @@ class _Source:
             for child in system.children:
                 system.network.send(child, chunk)
             acked: set[str] = set()
-            deadline = system.sim.now + system.ack_timeout_us
+            # One deadline per chunk, not one timer per ack wait: a timer
+            # outlives the wait it lost, so it stays in the calendar
+            # until it expires.
+            deadline = system.sim.timeout(system.ack_timeout_us)
             while acked < set(system.children):
-                remaining = deadline - system.sim.now
-                if remaining <= 0:
+                get_event = self.inbox.get()
+                winner = yield system.sim.any_of([get_event, deadline])
+                if get_event not in winner:
+                    self.inbox.cancel_get(get_event)
                     # "expose non-responsive nodes": a witness treats a
                     # child that stops acknowledging as exposed.
                     for child in set(system.children) - acked:
@@ -221,13 +232,6 @@ class _Source:
                             f"{seq} within {system.ack_timeout_us:.0f}us)"
                         )
                     break
-                get_event = self.inbox.get()
-                winner = yield system.sim.any_of(
-                    [get_event, system.sim.timeout(remaining)]
-                )
-                if get_event not in winner:
-                    self.inbox.cancel_get(get_event)
-                    continue  # loop re-checks the deadline
                 ack = winner[get_event]
                 if not isinstance(ack, ChunkAck):
                     continue
@@ -283,36 +287,83 @@ class Witness:
             raise ValueError(f"unknown witness role {role!r}")
         self.system = system
         self.role = role
-        self.audited_until = 0
         self.audits_performed = 0
+        #: The records audited so far, which the log must still hold as
+        #: its prefix; PeerReview witnesses keep the segments they fetch.
+        self._audited: list[LogRecord] = []
+        #: seq -> reference result of the latest audited chunk record.
+        self._expected: dict[int, str] = {}
+        #: Chain and replay faults already reported, so a re-audit after
+        #: a rewritten prefix does not report them again.
+        self._reported: set[str] = set()
+
+    @property
+    def audited_until(self) -> int:
+        return len(self._audited)
 
     def audit(self, log: TamperEvidentLog):
-        """log_audit(): replay new entries; returns a list of faults.
+        """log_audit(): audit the entries since the last audit.
 
-        Checks the hash chain, then replays each logged chunk through
-        the reference implementation, verifying logged results match.
+        Returns the faults this audit is the first to see.  The audited
+        prefix must still be in the log unchanged (an identity-first
+        list compare, not a re-hash); a truncated or rewritten prefix is
+        a fault, after which the witness re-audits the log as it stands.
+        Every new record must chain from the last audited authenticator,
+        and every new chunk is replayed through the reference
+        implementation so each logged result can be checked against it.
         """
         yield self.system.sim.timeout(PEER_REVIEW_AUDIT_US)
         self.audits_performed += 1
-        chunk_direction = "send" if self.role == "source" else "recv"
         faults: list[str] = []
-        broken = log.verify_chain()
-        if broken is not None:
-            faults.append(f"hash chain broken at entry {broken}")
-        expected_results: dict[int, str] = {}
-        for record in log.since(0):
+        audited = self._audited
+        if log.records[:len(audited)] != audited:
+            faults.extend(_prefix_faults(audited, log.records))
+            audited.clear()
+            self._expected.clear()
+        chunk_direction = "send" if self.role == "source" else "recv"
+        expected_results = self._expected
+        prev = audited[-1].authenticator if audited else _GENESIS
+        segment = log.since(len(audited))
+        for record in segment:
+            if record.authenticator != sha256(prev, record.direction,
+                                              record.data):
+                self._report(faults,
+                             f"hash chain broken at entry {record.index}")
+            prev = record.authenticator
             seq, text = _decode(record.data)
             if record.direction == chunk_direction:
                 expected_results[seq] = reference_execute(text)
             else:
                 expected = expected_results.get(seq)
                 if expected is not None and text != expected:
-                    faults.append(
+                    self._report(
+                        faults,
                         f"entry {record.index}: logged result {text!r} "
-                        f"diverges from reference {expected!r}"
+                        f"diverges from reference {expected!r}",
                     )
-        self.audited_until = len(log.records)
+        audited.extend(segment)
         return faults
+
+    def _report(self, faults: list[str], fault: str) -> None:
+        if fault not in self._reported:
+            self._reported.add(fault)
+            faults.append(fault)
+
+
+def _prefix_faults(audited: list[LogRecord],
+                   records: list[LogRecord]) -> list[str]:
+    """Name how ``records`` no longer extends the ``audited`` prefix."""
+    faults = []
+    for position, (held, logged) in enumerate(zip(audited, records)):
+        if held != logged:
+            faults.append(f"entry {position}: rewritten after it was audited")
+            break
+    if len(records) < len(audited):
+        faults.append(
+            f"log truncated to {len(records)} entries below the "
+            f"{len(audited)} already audited"
+        )
+    return faults
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +422,6 @@ class PeerReviewSystem:
             self.child_nodes[first].silent = True
         for child in self.child_nodes.values():
             self.sim.process(child.run())
-
-    def witness_audit(self, log: TamperEvidentLog):
-        return self.witness.audit(log)
 
     def run_workload(self, chunks: int) -> SystemMetrics:
         contents = [f"chunk-{i}" for i in range(chunks)]

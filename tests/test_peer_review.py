@@ -6,6 +6,7 @@ from repro.systems.peer_review import (
     PeerReviewBehaviour,
     PeerReviewSystem,
     TamperEvidentLog,
+    Witness,
     reference_execute,
 )
 
@@ -138,8 +139,6 @@ def test_child_witness_catches_deviating_child():
 
 
 def test_witness_role_validated():
-    from repro.systems.peer_review import Witness
-
     system = PeerReviewSystem("tnic", audit=False)
     with pytest.raises(ValueError, match="role"):
         Witness(system, role="bystander")
@@ -170,3 +169,142 @@ def test_non_responsive_child_exposed():
                for fault in faults)
     # The healthy child is never accused.
     assert not any("child1" in fault for fault in faults)
+
+
+# ---------------------------------------------------------------------------
+# Incremental witness audit
+# ---------------------------------------------------------------------------
+
+def _run_audit(system, witness, log):
+    process = system.sim.process(witness.audit(log))
+    return system.sim.run(process)
+
+
+def _source_log(chunks):
+    """An honest source log: each chunk, then one child's result."""
+    log = TamperEvidentLog()
+    _extend(log, range(chunks))
+    return log
+
+
+def _extend(log, seqs):
+    for seq in seqs:
+        log.append("send", f"{seq}|chunk-{seq}".encode())
+        log.append("recv", f"{seq}|{reference_execute(f'chunk-{seq}')}"
+                   .encode())
+
+
+def _fresh_witness():
+    system = PeerReviewSystem("tnic", audit=False)
+    return system, Witness(system)
+
+
+def test_audit_replays_only_new_entries():
+    system, witness = _fresh_witness()
+    log = _source_log(3)
+    assert _run_audit(system, witness, log) == []
+    assert witness.audited_until == 6
+    _extend(log, [3])
+    scanned = []
+    since = log.since
+    log.since = lambda index: scanned.append(index) or since(index)
+    assert _run_audit(system, witness, log) == []
+    assert scanned == [6]
+    assert witness.audited_until == 8
+
+
+@pytest.mark.parametrize("audit_children", [False, True])
+def test_each_divergence_reported_once(audit_children):
+    chunks = 4
+    system = PeerReviewSystem(
+        "tnic", audit=True, audit_children=audit_children,
+        behaviour=PeerReviewBehaviour(wrong_execution=True),
+    )
+    system.run_workload(chunks=chunks)
+    faults = system.detected_faults()
+    source = [f for f in faults
+              if not f.startswith("child") and "diverges from reference" in f]
+    assert len(source) == chunks
+    assert len(set(source)) == chunks
+    child0 = [f for f in faults if f.startswith("child0:")]
+    assert len(child0) == (chunks if audit_children else 0)
+    assert len(faults) == len(source) + len(child0)
+
+
+def test_tampered_chunk_reported_once():
+    system = PeerReviewSystem(
+        "tnic", audit=True,
+        behaviour=PeerReviewBehaviour(tamper_log=True),
+    )
+    system.run_workload(chunks=4)
+    broken = [f for f in system.detected_faults() if "hash chain broken" in f]
+    assert broken == ["hash chain broken at entry 3"]
+
+
+def test_truncation_below_audited_prefix_detected():
+    system, witness = _fresh_witness()
+    log = _source_log(3)
+    assert _run_audit(system, witness, log) == []
+    del log.records[4:]
+    assert log.verify_chain() is None  # a shorter log is still a valid chain
+    faults = _run_audit(system, witness, log)
+    assert faults == ["log truncated to 4 entries below the 6 already audited"]
+    assert _run_audit(system, witness, log) == []
+
+
+def test_truncate_and_regrow_detected():
+    system, witness = _fresh_witness()
+    log = _source_log(3)
+    _run_audit(system, witness, log)
+    del log.records[2:]
+    _extend(log, [7, 8, 9])
+    assert log.verify_chain() is None
+    assert _run_audit(system, witness, log) == [
+        "entry 2: rewritten after it was audited"
+    ]
+
+
+def test_forked_prefix_with_recomputed_authenticators_detected():
+    system, witness = _fresh_witness()
+    log = _source_log(3)
+    assert _run_audit(system, witness, log) == []
+    forked = _source_log(1)
+    _extend(forked, [5, 6])  # entries 2.. now carry other chunks
+    log.records[:] = forked.records
+    assert log.verify_chain() is None  # the chain itself is valid
+    assert _run_audit(system, witness, log) == [
+        "entry 2: rewritten after it was audited"
+    ]
+    # The fork is reported once; later appends audit incrementally.
+    _extend(log, [7])
+    assert _run_audit(system, witness, log) == []
+
+
+def test_retroactive_edit_of_audited_record_detected():
+    system, witness = _fresh_witness()
+    log = _source_log(3)
+    assert _run_audit(system, witness, log) == []
+    log.tamper(1, b"0|out:forged")
+    assert log.verify_chain() == 1
+    faults = _run_audit(system, witness, log)
+    assert faults == [
+        "entry 1: rewritten after it was audited",
+        "hash chain broken at entry 1",
+        "entry 1: logged result 'out:forged' diverges from reference "
+        f"{reference_execute('chunk-0')!r}",
+    ]
+    assert _run_audit(system, witness, log) == []
+
+
+def test_faults_found_before_a_rewrite_not_repeated():
+    system, witness = _fresh_witness()
+    log = _source_log(2)
+    log.append("send", b"2|chunk-2")
+    log.append("recv", b"2|out:deviated")
+    first = _run_audit(system, witness, log)
+    assert len(first) == 1 and "diverges" in first[0]
+    log.tamper(0, b"0|chunk-x")
+    faults = _run_audit(system, witness, log)
+    assert faults[:2] == ["entry 0: rewritten after it was audited",
+                          "hash chain broken at entry 0"]
+    assert first[0] not in faults

@@ -12,7 +12,12 @@ from repro.core.counters import CounterStore
 from repro.crypto.hashing import canonical_bytes, sha256
 from repro.crypto.hmac_engine import hmac_sha256, hmac_verify
 from repro.stack.memory import HugePageArea
-from repro.systems.peer_review import TamperEvidentLog
+from repro.systems.peer_review import (
+    PeerReviewSystem,
+    TamperEvidentLog,
+    Witness,
+    reference_execute,
+)
 from repro.tee.sgx_memory import EnclaveMemoryModel
 from repro.api.transform import WrappedMessage
 from repro.verification.lemmas import (
@@ -162,6 +167,54 @@ def test_any_log_tamper_is_detected(entries, data):
     )
     log.tamper(index, replacement)
     assert log.verify_chain() == index
+
+
+_seqs = st.integers(min_value=0, max_value=4)
+_log_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("chunk"), _seqs),
+        st.tuples(st.just("result"), _seqs, st.booleans()),
+        st.tuples(st.just("tamper"), st.integers(min_value=0), _seqs,
+                  st.sampled_from(["chunk-0", "chunk-9", "out:forged"])),
+        st.just(("audit",)),
+    ),
+    max_size=40,
+)
+
+
+def _audit_now(system, witness, log):
+    process = system.sim.process(witness.audit(log))
+    return system.sim.run(process)
+
+
+@given(_log_steps)
+@settings(max_examples=60, deadline=None)
+def test_incremental_audit_reports_every_full_audit_fault(steps):
+    """Every fault a fresh witness finds by auditing the whole log is
+    also reported by some audit of the witness that audits it
+    incrementally, whatever appends and retroactive edits came between.
+    """
+    system = PeerReviewSystem("tnic", audit=False)
+    incremental = Witness(system)
+    log = TamperEvidentLog()
+    reported: list[str] = []
+    for step in steps + [("audit",)]:
+        if step[0] == "chunk":
+            log.append("send", f"{step[1]}|chunk-{step[1]}".encode())
+        elif step[0] == "result":
+            _, seq, honest = step
+            result = reference_execute(f"chunk-{seq}") if honest else "out:x"
+            log.append("recv", f"{seq}|{result}".encode())
+        elif step[0] == "tamper" and log.records:
+            _, index, seq, text = step
+            log.tamper(index % len(log.records), f"{seq}|{text}".encode())
+        elif step[0] == "audit":
+            reported.extend(_audit_now(system, incremental, log))
+            full = _audit_now(system, Witness(system), log)
+            assert set(full) <= set(reported)
+    # Each rewrite is its own event; chain and replay faults come once.
+    found = [fault for fault in reported if "rewritten" not in fault]
+    assert len(found) == len(set(found))
 
 
 # ---------------------------------------------------------------------------

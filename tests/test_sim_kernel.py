@@ -312,3 +312,29 @@ def test_run_is_not_reentrant():
     trigger = sim.timeout(1.0)
     trigger.callbacks.append(nested)
     sim.run()
+
+
+def test_triggered_condition_unhooks_from_pending_children():
+    """A condition that has fired stops listening to the children that
+    lost, so a long losing timeout does not keep it alive."""
+    sim = Simulator()
+    fast = sim.timeout(1.0, "fast")
+    slow = sim.timeout(1_000.0, "slow")
+    failing = sim.event()
+    never = sim.timeout(1_000.0)
+
+    def waiter():
+        yield sim.any_of([fast, slow])
+        try:
+            yield sim.all_of([failing, never])
+        except KeyError:
+            pass
+
+    def breaker():
+        yield sim.timeout(2.0)
+        failing.fail(KeyError("boom"))
+
+    sim.process(breaker())
+    sim.run(sim.process(waiter()))
+    assert slow.callbacks == []
+    assert never.callbacks == []
