@@ -1,9 +1,12 @@
 """Golden-trace determinism: the kernel fast path is wall-clock-only.
 
-The fixtures under ``tests/fixtures/golden/`` were generated with the
-*pre-fast-path* simulator kernel (the seed of PR 4).  Each test re-runs
-the same seeded scenario — one BFT round-trip batch and one
-chain-replication workload — with tracing on and asserts the canonical
+The BFT and chain fixtures under ``tests/fixtures/golden/`` were
+generated with the *pre-fast-path* simulator kernel; the device fixture
+was generated with the process-per-stage TNIC datapath (every DMA, HMAC
+occupancy and post a spawned process).  Each test re-runs the same
+seeded scenario — one BFT round-trip batch, one chain-replication
+workload and one lossy two-node ``auth_send``/``recv`` stream through
+the full device datapath — with tracing on and asserts the canonical
 trace dump is byte-identical to the recorded golden.  Any change to
 event ordering, same-timestamp tiebreaks, or virtual-time arithmetic
 shows up here as a diff; optimisations that only shave wall-clock time
@@ -18,8 +21,13 @@ from __future__ import annotations
 
 import pathlib
 
+import random
+from collections import deque
+
+from repro.api import Cluster, ops
 from repro.bench import kv_workload
-from repro.sim.trace import Tracer
+from repro.net.fabric import NetworkFault
+from repro.sim.trace import Tracer, emit
 from repro.systems.bft import BftCounter
 from repro.systems.chain import ChainReplication
 
@@ -64,9 +72,54 @@ def run_chain_round() -> str:
     return canonical_dump(system.sim.tracer, system.sim.now, metrics.committed)
 
 
+def run_device_round() -> str:
+    """Two-node ``auth_send``/``recv`` over the full device datapath.
+
+    Mixed 64-4096 B payloads, four sends in flight and 5% seeded loss,
+    so the trace covers DMA, HMAC-pipeline queueing, attestation,
+    single-MTU packets, go-back-N retransmission and
+    rx verification.  Each send completion is recorded in the trace
+    (``golden.complete``), pinning per-message completion instants."""
+    rng = random.Random("golden/device")
+    payloads = [rng.randbytes(rng.choice((64, 256, 1024, 4096)))
+                for _ in range(80)]
+    cluster = Cluster(["a", "b"], fault=NetworkFault(drop_probability=0.05),
+                      seed=11)
+    sender, receiver = cluster.connect("a", "b")
+    sim = cluster.sim
+    sim.tracer = Tracer(capacity=TRACE_CAPACITY)
+    received: list[bytes] = []
+
+    def completed(event, index: int) -> None:
+        emit(sim, "golden.complete", f"msg={index} ok={event.ok}")
+
+    def client():
+        in_flight: deque = deque()
+        for index, payload in enumerate(payloads):
+            if len(in_flight) == 4:
+                yield in_flight.popleft()
+            completion = ops.auth_send(sender, payload)
+            completion.callbacks.append(
+                lambda event, index=index: completed(event, index))
+            in_flight.append(completion)
+            while (item := ops.recv(receiver)) is not None:
+                received.append(item["payload"])
+        while in_flight:
+            yield in_flight.popleft()
+        while (item := ops.recv(receiver)) is not None:
+            received.append(item["payload"])
+
+    sim.run(sim.process(client()))
+    assert received == payloads
+    stats = cluster.nodes["a"].device.stats()
+    assert stats.retransmissions > 0, "scenario must exercise go-back-N"
+    return canonical_dump(sim.tracer, sim.now, len(received))
+
+
 SCENARIOS = {
     "golden_trace_bft.txt": run_bft_round,
     "golden_trace_chain.txt": run_chain_round,
+    "golden_trace_device.txt": run_device_round,
 }
 
 
@@ -85,6 +138,10 @@ def test_bft_trace_matches_golden():
 
 def test_chain_trace_matches_golden():
     _compare("golden_trace_chain.txt")
+
+
+def test_device_trace_matches_golden():
+    _compare("golden_trace_device.txt")
 
 
 def test_trace_is_run_to_run_deterministic():
