@@ -31,11 +31,6 @@ Lifecycle vocabulary (the declarative manifest the rules interpret):
   receiver chains are matched through local aliases, so ``lock =
   self.lock`` followed by ``lock.release()`` pairs with
   ``self.lock.acquire()``.
-* :data:`SELF_RELEASING` lists occupancy helpers whose *callee* both
-  acquires and releases the underlying resource
-  (:meth:`repro.crypto.hmac_engine.HmacEngine.occupy` spawns a worker
-  that owns the full acquire/release span), so their call sites carry
-  no release obligation.
 * :data:`TIMEOUT_MARKERS` are the spellings that count as a composed
   deadline; :data:`NETWORK_PACKAGES` scopes LIV005 to network-facing
   code (``repro.sim`` itself is excluded: the kernel's own waiter
@@ -73,11 +68,6 @@ ACQUIRE_VERBS: dict[str, str] = {
     "request": "release",
     "exclusive_regs": "release_regs",
 }
-
-#: Occupancy helpers whose callee owns the full acquire/release span
-#: (HmacEngine.occupy spawns _run, which acquires AND releases the
-#: pipeline), so call sites carry no release obligation of their own.
-SELF_RELEASING = frozenset({"occupy"})
 
 #: Spellings that count as a composed deadline on a wait.
 TIMEOUT_MARKERS = frozenset({
@@ -878,11 +868,10 @@ class ResourceLeakRule(_LivenessRule):
         "try/finally; a plain release after the yield is skipped when "
         "the yield raises, and a capacity-1 resource then starves every "
         "later waiter — the whole pipeline behind it stalls silently.  "
-        "Wrap the held span in try/finally (see HmacEngine._run), or "
-        "waive acquire-only helpers whose caller owns the release "
-        "(Resource.locked) inline with a rationale comment.  Calls in "
-        "SELF_RELEASING (HmacEngine.occupy) carry no obligation: their "
-        "spawned worker owns the full acquire/release span."
+        "Wrap the held span in try/finally (see the worker of "
+        "kernel_workloads.contended_resource), or waive acquire-only "
+        "helpers whose caller owns the release (Resource.locked) "
+        "inline with a rationale comment."
     )
 
 

@@ -28,10 +28,15 @@ from repro.roce.queue_pair import QueuePair
 from repro.roce.state_tables import CompletionEntry
 from repro.roce.transport import RoceKernel
 from repro.sim.instrument import count, span_begin, trace_extract, trace_inject
+from repro.sim.process import Stages
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
     from repro.sim.events import Event
+
+
+#: Stages of the device's request pipelines (``Stages.step`` values).
+_DMA, _ATTEST, _ROCE = 1, 2, 3
 
 
 class ReadTimeout(Exception):
@@ -116,87 +121,112 @@ class TnicDevice:
         device (the RDMA-hw baseline) skips the attestation kernel.
         """
         done = self.sim.event()
-        self.sim.process(self._tx_path(qp_number, payload, opcode, meta or {}, done))
+        self._tx_path(Stages(self._tx_path, done,
+                             (qp_number, payload, opcode, meta or {})))
         return done
 
-    def _tx_path(self, qp_number, payload, opcode, meta, done):
-        qp = self.roce._qp(qp_number)
-        # Continue the poster's trace (the carrier is the WR metadata)
-        # and replace the carried context with this span's own, so the
-        # packet that leaves the MAC points at tnic.tx and the remote
-        # rx-verify stage joins the tree right here.
-        span = span_begin(self.sim, "tnic.tx",
-                          parent=trace_extract(self.sim, meta),
-                          device=self.device_id,
-                          qp=qp_number, bytes=len(payload))
-        if span:
-            trace_inject(self.sim, meta, span)
-        try:
-            stage = span.child("tnic.dma")
-            yield self.dma.transfer(len(payload))
-            stage.end()
-            if self.attestation is not None:
-                stage = span.child("attest.hmac")
-                message = yield self.attestation.attest_event(qp.session_id, payload)
-                stage.end()
-                to_send: AttestedMessage | bytes = message
-            else:
-                to_send = payload
-            stage = span.child("roce.tx")
-            completion = yield self.roce.post_send(qp_number, to_send, opcode, meta)
-            stage.end()
-        except Exception as exc:  # propagate transport failures to caller
-            span.end(status="error")
-            if not done.triggered:
-                done.fail(exc)
+    def _tx_path(self, op: Stages, event: "Event | None" = None) -> None:
+        """The TX stages of one work request: DMA, attest, RoCE to ACK.
+
+        Called by :meth:`send` to start the DMA and re-entered by
+        ``op.resume`` as each stage completes (``op.step`` names it).
+        """
+        qp_number, payload, opcode, meta = op.args
+        if event is None:
+            # Continue the poster's trace (the carrier is the WR metadata)
+            # and replace the carried context with this span's own, so the
+            # packet that leaves the MAC points at tnic.tx and the remote
+            # rx-verify stage joins the tree right here.
+            span = op.span = span_begin(self.sim, "tnic.tx",
+                                        parent=trace_extract(self.sim, meta),
+                                        device=self.device_id,
+                                        qp=qp_number, bytes=len(payload))
+            if span:
+                trace_inject(self.sim, meta, span)
+            op.stage = span.child("tnic.dma")
+            op.wait(self.dma.transfer(len(payload)), _DMA)
             return
-        span.end(status="ok")
-        if not done.triggered:
-            done.succeed(completion)
+        try:
+            op.stage.end()
+            step = op.step
+            if step == _DMA and self.attestation is not None:
+                session_id = self.roce._qp(qp_number).session_id
+                op.stage = op.span.child("attest.hmac")
+                op.wait(self.attestation.attest_event(session_id, payload),
+                        _ATTEST)
+                return
+            if step != _ROCE:
+                # The attested message, or the raw payload on an
+                # untrusted device.
+                to_send = event._value if step == _ATTEST else payload
+                op.stage = op.span.child("roce.tx")
+                op.wait(self.roce.post_send(qp_number, to_send, opcode, meta),
+                        _ROCE)
+                return
+        except Exception as exc:  # a stalled `done` would park the caller
+            op.fail(exc)
+            return
+        op.span.end(status="ok")
+        if not op.done.triggered:
+            op.done.succeed(event._value)
 
     def local_attest(self, session_id: int, payload: bytes) -> "Event":
         """local_send(): attest without transmitting (single-node use)."""
         if self.attestation is None:
             raise RuntimeError("untrusted device has no attestation kernel")
         done = self.sim.event()
-        self.sim.process(self._local_attest(session_id, payload, done))
+        self._local_attest(Stages(self._local_attest, done,
+                                  (session_id, payload)))
         return done
 
-    def _local_attest(self, session_id, payload, done):
-        span = span_begin(self.sim, "tnic.local_attest",
-                          device=self.device_id, bytes=len(payload))
-        try:
-            stage = span.child("tnic.dma")
-            yield self.dma.transfer(len(payload))
-            stage.end()
-            stage = span.child("attest.hmac")
-            message = yield self.attestation.attest_event(session_id, payload)
-            stage.end()
-        except Exception as exc:  # a stalled `done` would park the caller
-            span.end(status="error")
-            if not done.triggered:
-                done.fail(exc)
+    def _local_attest(self, op: Stages, event: "Event | None" = None) -> None:
+        """DMA then attest, as :meth:`_tx_path` without the RoCE stage."""
+        session_id, payload = op.args
+        if event is None:
+            span = op.span = span_begin(self.sim, "tnic.local_attest",
+                                        device=self.device_id,
+                                        bytes=len(payload))
+            op.stage = span.child("tnic.dma")
+            op.wait(self.dma.transfer(len(payload)), _DMA)
             return
-        span.end()
-        done.succeed(message)
+        try:
+            op.stage.end()
+            if op.step == _DMA:
+                op.stage = op.span.child("attest.hmac")
+                op.wait(self.attestation.attest_event(session_id, payload),
+                        _ATTEST)
+                return
+        except Exception as exc:  # a stalled `done` would park the caller
+            op.fail(exc)
+            return
+        op.span.end()
+        op.done.succeed(event._value)
 
     def local_verify(self, session_id: int, message: AttestedMessage) -> "Event":
         """local_verify(): transferable-authentication check of α only."""
         if self.attestation is None:
             raise RuntimeError("untrusted device has no attestation kernel")
         done = self.sim.event()
-        self.sim.process(self._local_verify(session_id, message, done))
+        self._local_verify(Stages(self._local_verify, done,
+                                  (session_id, message)))
         return done
 
-    def _local_verify(self, session_id, message, done):
+    def _local_verify(self, op: Stages, event: "Event | None" = None) -> None:
+        """DMA, then HMAC-pipeline occupancy, then the α check."""
+        session_id, message = op.args
         try:
-            yield self.dma.transfer(len(message.payload))
-            yield self.attestation.hmac_engine.occupy(len(message.payload))
+            if event is None:
+                op.wait(self.dma.transfer(len(message.payload)), _DMA)
+                return
+            if op.step == _DMA:
+                engine = self.attestation.hmac_engine
+                op.wait(engine.occupy(len(message.payload)), _ATTEST)
+                return
+            verdict = self.attestation.check_transferable(session_id, message)
         except Exception as exc:  # a stalled `done` would park the caller
-            if not done.triggered:
-                done.fail(exc)
+            op.fail(exc)
             return
-        done.succeed(self.attestation.check_transferable(session_id, message))
+        op.done.succeed(verdict)
 
     # ------------------------------------------------------------------
     # Data path — reception

@@ -52,22 +52,21 @@ class DmaEngine:
         return max(TNIC_ATTEST_ASYNC_US - 5.5, 0.5)  # doorbell + fetch
 
     def transfer(self, size_bytes: int) -> "Event":
-        """Move *size_bytes* across PCIe; event triggers at completion."""
+        """Move *size_bytes* across PCIe; event triggers at completion.
+
+        One scheduled completion per transfer: the pipe is booked now
+        for a start after the setup cost.  The setup cost is constant
+        per engine, so call order is start order and the booking is
+        bit-identical to booking when the setup delay elapses."""
         if size_bytes < 0:
             raise ValueError("size must be >= 0")
         self.transfers += 1
         count(self.sim, "dma.transfers")
         count(self.sim, "dma.bytes", size_bytes)
         observe(self.sim, "dma.size_bytes", size_bytes)
-        setup = self.setup_cost_us()
-        done = self.sim.event()
-
-        def _start() -> None:  # lint: ignore[PERF001] per-transfer completion chain (setup delay -> pipe -> done); one closure per DMA
-            move = self._pipe.transfer(size_bytes)
-            move.callbacks.append(lambda _e: done.succeed(size_bytes))
-
-        self.sim.delayed_call(setup, _start)
-        return done
+        sim = self.sim
+        arrival = self._pipe.reserve(sim._now + self.setup_cost_us(), size_bytes)
+        return sim.timeout_at(arrival, size_bytes)
 
     @property
     def bytes_moved(self) -> int:

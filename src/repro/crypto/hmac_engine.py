@@ -33,7 +33,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.crypto.hashing import canonical_bytes
 from repro.sim.latency import tnic_hmac_pipeline_us
-from repro.sim.resources import Resource
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
@@ -262,13 +261,22 @@ class HmacEngine:
     """The attestation kernel's single HMAC pipeline (timing model).
 
     The real unit processes message bytes serially; concurrent
-    attest/verify requests queue.  :meth:`compute` returns a simulation
-    event that triggers, after pipeline occupancy, with the MAC bytes.
+    attest/verify requests queue in FIFO order.  :meth:`compute` returns
+    a simulation event that triggers, after pipeline occupancy, with the
+    MAC bytes.
+
+    The queue is closed-form, the ``_busy_until`` cursor that
+    :class:`~repro.sim.resources.Pipe` and
+    :class:`~repro.net.mac.EthernetMac` use: an occupancy starts when
+    the pipeline frees (or now, if idle), so each one is a single
+    completion scheduled at call time — no lock, no process.
     """
+
+    __slots__ = ("sim", "_busy_until", "operations", "busy_us")
 
     def __init__(self, sim: "Simulator") -> None:
         self.sim = sim
-        self._pipeline = Resource(sim, capacity=1)
+        self._busy_until = 0.0
         self.operations = 0
         self.busy_us = 0.0
 
@@ -281,25 +289,32 @@ class HmacEngine:
         computing a MAC (used when the MAC was already produced and only
         the hardware occupancy matters)."""
         done = self.sim.event()
-        self.sim.process(self._run(size_bytes, b"", done))
+        self._run(size_bytes, b"", done)
         return done
 
     def compute(self, key: bytes, *parts) -> "Event":
         """Queue an HMAC computation; event value is the MAC bytes."""
         mac = hmac_sha256(key, *parts)
-        size = len(canonical_bytes(parts))
         done = self.sim.event()
-        process = self._run(size, mac, done)
-        self.sim.process(process)
+        self._run(len(canonical_bytes(parts)), mac, done)
         return done
 
-    def _run(self, size: int, mac: bytes, done):
-        yield self._pipeline.acquire()
+    def _run(self, size: int, mac: bytes, done: "Event") -> None:
+        """Queue one *size*-byte occupancy; *done* triggers with *mac*
+        when it leaves the pipeline.
+
+        The completion tick is scheduled at the absolute finish instant
+        ``max(now, busy_until) + occupancy``.  *done* triggers from the
+        tick, one same-instant hop later, so it sorts after the events
+        already due at that instant, as a hardware unit's release then
+        completion would.
+        """
         delay = self.occupancy_us(size)
+        sim = self.sim
+        now = sim._now
+        busy_until = self._busy_until
+        finish = (now if now > busy_until else busy_until) + delay
+        self._busy_until = finish
         self.operations += 1
         self.busy_us += delay
-        try:
-            yield self.sim.timeout(delay)
-        finally:
-            self._pipeline.release()
-        done.succeed(mac)
+        sim.timeout_at(finish, mac).callbacks.append(done.trigger)

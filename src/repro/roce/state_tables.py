@@ -41,7 +41,8 @@ class QueuePairState:
     next_send_psn: int = 0
     #: PSN the receive side expects next (in-order delivery).
     expected_recv_psn: int = 0
-    #: MSN counters (one message == one packet in this model).
+    #: MSN counters: one per message, which spans one packet per
+    #: path-MTU segment (so MSNs advance slower than PSNs).
     next_send_msn: int = 0
     next_recv_msn: int = 0
     #: Unacknowledged transmitted packets, ordered by PSN.

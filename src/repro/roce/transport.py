@@ -19,6 +19,7 @@ timer resends the oldest unacknowledged packet.
 
 from __future__ import annotations
 
+from collections import deque
 from typing import TYPE_CHECKING, Any
 
 from repro.core.attestation import AttestationError, AttestationKernel, AttestedMessage
@@ -108,7 +109,10 @@ class RoceKernel:
         self._tx_backlog: dict[int, list] = {}
         self.tables = StateTables(max_connections)
         self._queue_pairs: dict[int, QueuePair] = {}
-        self._send_completions: dict[tuple[int, int], "Event"] = {}
+        #: Per-QP unacknowledged messages in PSN order, as
+        #: ``(last_psn, msn, completion)`` recorded when the message
+        #: enters the wire; cumulative ACKs pop from the front.
+        self._send_completions: dict[int, deque] = {}
         self._retransmit_running: set[int] = set()
         self._rx_lanes: dict[int, _RxLane] = {}
         #: Optional device hook invoked after each verified delivery;
@@ -194,11 +198,10 @@ class RoceKernel:
                     message if is_last else chunk,  # α rides the LAST segment
                     opcode,
                     seg_meta,
+                    state.next_send_psn,  # the PSN record_send allocates
                     chunk_payload=chunk,
                 )
                 psn = state.record_send(packet, self.sim.now)
-                packet = self._with_psn(packet, psn, qp.remote_qp_number)
-                state.inflight[-1].packet = packet
                 if self.sim.tracer is not None:
                     # Gate at the call site: packet.describe() is too
                     # expensive to build for a discarded record.
@@ -206,11 +209,13 @@ class RoceKernel:
                 count(self.sim, "roce.tx_packets", node=self.ip)
                 self.mac.transmit(packet)
                 last_psn = psn
+            # The message completes when its final segment is acked.
+            self._send_completions.setdefault(qp_number, deque()).append(
+                (last_psn, state.next_send_msn, completion)
+            )
             state.next_send_msn += 1
             gauge_set(self.sim, "roce.inflight", len(state.inflight),
                       node=self.ip, qp=qp_number)
-            # The message completes when its final segment is acked.
-            self._send_completions[(qp_number, last_psn)] = completion
             self._ensure_retransmit_timer(qp_number)
 
     def _segment(self, payload: bytes) -> list:
@@ -229,6 +234,7 @@ class RoceKernel:
         message: AttestedMessage | bytes,
         opcode: RdmaOpcode,
         meta: dict[str, Any],
+        psn: int,
         chunk_payload: bytes | None = None,
     ) -> Packet:
         dst_mac = self.arp.lookup(qp.remote_ip)
@@ -247,25 +253,13 @@ class RoceKernel:
             eth=EthernetHeader(src_mac=self.mac.address, dst_mac=dst_mac),
             ip=Ipv4Header(src_ip=qp.local_ip, dst_ip=qp.remote_ip),
             udp=UdpHeader(src_port=qp.local_port, dst_port=qp.remote_port),
-            bth=IbTransportHeader(opcode=opcode, dest_qp=qp.remote_qp_number, psn=0),
+            bth=IbTransportHeader(
+                opcode=opcode, dest_qp=qp.remote_qp_number, psn=psn,
+                ack_req=True,
+            ),
             payload=payload,
             trailer=trailer,
             meta=dict(meta, src_qp=qp.qp_number),
-        )
-
-    @staticmethod
-    def _with_psn(packet: Packet, psn: int, dest_qp: int) -> Packet:
-        bth = IbTransportHeader(
-            opcode=packet.bth.opcode, dest_qp=dest_qp, psn=psn, ack_req=True
-        )
-        return Packet(
-            eth=packet.eth,
-            ip=packet.ip,
-            udp=packet.udp,
-            bth=bth,
-            payload=packet.payload,
-            trailer=packet.trailer,
-            meta=packet.meta,
         )
 
     # ------------------------------------------------------------------
@@ -308,8 +302,15 @@ class RoceKernel:
         self._retransmit_running.discard(qp_number)
 
     def _fail_send(self, qp_number: int, psn: int, reason: str) -> None:
-        completion = self._send_completions.pop((qp_number, psn), None)
-        if completion is not None and not completion.triggered:
+        """Fail the message whose final segment is *psn*, if any.
+
+        Earlier messages were completed by ACKs or failed already, so
+        the message, if *psn* ends one, is at the head of the FIFO."""
+        pending = self._send_completions.get(qp_number)
+        if not pending or pending[0][0] != psn:
+            return
+        completion = pending.popleft()[2]
+        if not completion.triggered:
             completion.fail(TransportError(f"send psn={psn} failed: {reason}"))
 
     # ------------------------------------------------------------------
@@ -343,16 +344,13 @@ class RoceKernel:
                   node=self.ip, qp=qp_number)
         if self._tx_backlog.get(qp_number):
             self._pump_tx(qp_number)  # ACKs opened window space
-        for (qp_n, psn), completion in list(self._send_completions.items()):
-            if qp_n == qp_number and psn <= acked_psn and not completion.triggered:
-                entry = CompletionEntry(
-                    qp_number=qp_number,
-                    msn=packet.meta.get("msn", psn),
-                    opcode="send",
-                    ok=True,
-                )
-                completion.succeed(entry)
-                del self._send_completions[(qp_n, psn)]
+        pending = self._send_completions.get(qp_number)
+        while pending and pending[0][0] <= acked_psn:
+            _last_psn, msn, completion = pending.popleft()
+            if not completion.triggered:
+                completion.succeed(CompletionEntry(
+                    qp_number=qp_number, msn=msn, opcode="send", ok=True,
+                ))
 
     def _handle_data(self, packet: Packet) -> None:
         qp_number = packet.bth.dest_qp
@@ -367,7 +365,9 @@ class RoceKernel:
             # Duplicate of an already-accepted packet: re-ACK, drop.
             state.duplicates_dropped += 1
             if state.expected_recv_psn > 0:
-                self._send_ack(qp, state.expected_recv_psn - 1, state.next_recv_msn)
+                # Re-ACK the last delivered message, with its own MSN.
+                self._send_ack(qp, state.expected_recv_psn - 1,
+                               state.next_recv_msn - 1)
             return
         if psn > lane.next_arrival_psn:
             # Gap: go-back-N, ask the sender to rewind.

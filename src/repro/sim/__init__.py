@@ -9,7 +9,8 @@ process simulator in the style of SimPy:
 * :class:`~repro.sim.events.Event` / :class:`~repro.sim.events.Timeout` —
   awaitable occurrences; processes ``yield`` them.
 * :class:`~repro.sim.process.Process` — a generator running in virtual
-  time.
+  time; :class:`~repro.sim.process.Stages` drives a fixed pipeline
+  without one.
 * :mod:`~repro.sim.resources` — mutexes, FIFO stores and bandwidth pipes.
 * :mod:`~repro.sim.latency` — the single calibration table holding every
   measured constant from the paper's evaluation (§8).
@@ -17,7 +18,7 @@ process simulator in the style of SimPy:
 
 from repro.sim.clock import Simulator
 from repro.sim.events import AnyOf, AllOf, Event, Interrupt, Timeout
-from repro.sim.process import Process
+from repro.sim.process import Process, Stages
 from repro.sim.resources import Pipe, Resource, Store
 from repro.sim.rng import DeterministicRng
 from repro.sim.shard import CrossShard, cross_shard
@@ -33,6 +34,7 @@ __all__ = [
     "Process",
     "Resource",
     "Simulator",
+    "Stages",
     "Store",
     "Timeout",
     "cross_shard",

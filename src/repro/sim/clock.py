@@ -220,6 +220,29 @@ class Simulator:
             self._staged.append((when, self._tie_next(), timeout))
         return timeout
 
+    def timeout_at(self, when: float, value: Any = None) -> Timeout:
+        """Create an event that triggers at the absolute instant *when*.
+
+        For closed-form FIFO servers (:class:`~repro.sim.resources.Pipe`,
+        :class:`~repro.crypto.hmac_engine.HmacEngine`) that compute
+        their completion instant themselves.  Scheduling that float
+        directly keeps it bit-identical; ``timeout(when - now)`` would
+        schedule ``now + (when - now)``, which need not round back to
+        *when*.
+        """
+        now = self._now
+        if when < now:
+            raise ValueError(f"cannot schedule into the past: {when} < {now}")
+        timeout = _new_timeout(Timeout)
+        timeout.sim = self
+        timeout.callbacks = []
+        timeout._state = _TRIGGERED
+        timeout._value = value
+        timeout._exception = None
+        timeout.delay = when - now
+        self._push(when, timeout)
+        return timeout
+
     def process(self, generator: Generator[Event, Any, Any]) -> Process:
         """Start a new process running *generator* in virtual time."""
         return Process(self, generator)

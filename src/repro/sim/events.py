@@ -113,6 +113,17 @@ class Event:
         sim._push(sim._now, self)
         return self
 
+    def trigger(self, event: "Event") -> None:
+        """Trigger with *event*'s outcome: its exception, else its value.
+
+        Usable directly as a callback (``source.callbacks.append(
+        target.trigger)``) to chain one event onto another without a
+        closure; one-shot like :meth:`succeed`."""
+        if event._exception is not None:
+            self.fail(event._exception)
+        else:
+            self.succeed(event._value)
+
     def _mark_processed(self) -> None:
         self._state = Event.PROCESSED
 

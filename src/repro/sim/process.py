@@ -10,11 +10,16 @@ Hot path: :meth:`Process._resume` runs once per event dispatch in every
 process-driven workload, so the detached (no-sanitizer) lane is inlined
 flat — bound ``send``/``throw`` cached at construction, the event state
 compared directly instead of through the ``processed`` property — and
-the sanitizer bracketing lives in a separate cold lane."""
+the sanitizer bracketing lives in a separate cold lane.
+
+:class:`Stages` is the process-free alternative for fixed pipelines
+(the device datapath): a per-request record whose owner method is
+re-entered by a bound-method callback as each awaited event completes.
+"""
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Generator
+from typing import TYPE_CHECKING, Any, Callable, Generator
 
 from repro.sim.events import Event, Interrupt
 
@@ -152,3 +157,57 @@ class Process(Event):
         )
         self._generator.close()
         self.fail(error)
+
+
+class Stages:
+    """One request through a fixed pipeline, driven without a process.
+
+    The owner's stage method ``run(stages, event)`` is called once with
+    ``event=None`` to start the first stage, then re-entered through
+    :meth:`resume` — a bound-method callback — when each event passed
+    to :meth:`wait` completes; :attr:`step` names the stage that event
+    ended.  A wait costs exactly the awaited event, where a
+    :class:`Process` adds a bootstrap event, a completion event and a
+    generator resume per request.  An awaited event that fails fails
+    the request (:meth:`fail`) without re-entering.  The stage method
+    reports success on :attr:`done` and must catch its own exceptions
+    and pass them to :meth:`fail`: nothing wraps it the way a process
+    wraps its generator.
+    """
+
+    __slots__ = ("run", "done", "args", "step", "span", "stage")
+
+    def __init__(
+        self,
+        run: Callable[["Stages", Event | None], None],
+        done: Event,
+        args: Any = None,
+    ) -> None:
+        self.run = run
+        self.done = done
+        #: The request's inputs, as the stage method wants them.
+        self.args = args
+        self.step = 0
+        #: The request's telemetry span and its current child stage.
+        self.span: Any = None
+        self.stage: Any = None
+
+    def wait(self, event: Event, step: int) -> None:
+        """Re-enter the stage method when *event* (not yet processed)
+        completes, with :attr:`step` set to *step*."""
+        self.step = step
+        event.callbacks.append(self.resume)
+
+    def resume(self, event: Event) -> None:
+        if event._exception is not None:
+            self.fail(event._exception)
+        else:
+            self.run(self, event)
+
+    def fail(self, exception: BaseException) -> None:
+        """Fail the request: end its span with ``status="error"`` (a
+        no-op if it already ended) and fail :attr:`done` once."""
+        if self.span is not None:
+            self.span.end(status="error")
+        if not self.done.triggered:
+            self.done.fail(exception)

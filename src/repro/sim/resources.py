@@ -1,8 +1,7 @@
 """Shared resources for simulation processes.
 
 * :class:`Resource` — a counted semaphore with FIFO queueing.  Used for
-  the TNIC-OS library's per-REG-page locks (§5.2) and for modelling the
-  single HMAC pipeline inside the attestation kernel.
+  the TNIC-OS library's per-REG-page locks (§5.2).
 * :class:`Store` — an unbounded FIFO of items with blocking ``get``.
   Used for NIC RX/TX queues and host completion queues.
 * :class:`Pipe` — a bandwidth-limited, propagation-delayed byte channel.
@@ -49,10 +48,11 @@ class Resource:
         Lifecycle contract (LIV001): every acquire must be paired with a
         :meth:`release` on *every* path.  Exceptions are delivered into
         processes at yield points, so a holder that yields again before
-        releasing must release in a ``try/finally`` — see
-        ``HmacEngine._run`` for the canonical shape."""
-        # Direct construction: acquire() is on the HMAC-pipeline and
-        # REG-page-lock hot path, so skip the sim.event() frame.
+        releasing must release in a ``try/finally``; a callback-driven
+        holder must release on its error path too — see
+        ``RdmaLibrary._post_locked`` for both release sites."""
+        # Direct construction: acquire() is on the REG-page-lock hot
+        # path, so skip the sim.event() frame.
         event = Event(self.sim)
         if self._in_use < self.capacity and not self._waiters:
             self._in_use += 1
@@ -164,12 +164,22 @@ class Pipe:
 
     def transfer(self, size_bytes: int) -> Event:
         """Send *size_bytes*; the event triggers at delivery time."""
+        sim = self.sim
+        return sim.timeout_at(self.reserve(sim._now, size_bytes), size_bytes)
+
+    def reserve(self, at: float, size_bytes: int) -> float:
+        """Book a *size_bytes* transfer starting no earlier than *at*;
+        returns its delivery instant.
+
+        Closed form of a FIFO server: reservations must arrive in start
+        order.  The instant is ``at + (busy_until + propagation - at)``,
+        the float a timeout of that delay issued at *at* would land on,
+        so booking ahead of time is bit-identical to booking at *at*.
+        """
         if size_bytes < 0:
             raise ValueError("transfer size must be >= 0")
-        sim = self.sim
-        now = sim._now  # one direct load instead of two property frames
-        start = now if now > self._busy_until else self._busy_until
+        start = at if at > self._busy_until else self._busy_until
         busy_until = start + size_bytes / self.bandwidth
         self._busy_until = busy_until
         self.bytes_transferred += size_bytes
-        return sim.timeout(busy_until + self.propagation - now, size_bytes)
+        return at + (busy_until + self.propagation - at)

@@ -23,6 +23,7 @@ from typing import TYPE_CHECKING, Any
 from repro.core.device import TnicDevice
 from repro.net.packet import RdmaOpcode
 from repro.sim.instrument import count, span_begin, trace_extract, trace_inject
+from repro.sim.process import Stages
 from repro.stack.memory import IbvMemory, MemoryError_, RdmaKey
 from repro.stack.process import TnicProcess
 from repro.stack.regs import RegField
@@ -30,6 +31,9 @@ from repro.stack.regs import RegField
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.clock import Simulator
     from repro.sim.events import Event
+
+#: Stages of a post (``Stages.step`` values): lock granted, WR completed.
+_LOCKED, _COMPLETED = 1, 2
 
 _OPCODE_CODES = {
     RdmaOpcode.SEND: 1,
@@ -115,18 +119,33 @@ class RdmaLibrary:
         """Program the REGs page and ring the doorbell; returns the
         completion event for the posted operation."""
         done = self.sim.event()
-        self.sim.process(self._post_locked(request, done))
+        self._post_locked(Stages(self._post_locked, done, request))
         return done
 
-    def _post_locked(self, request: WorkRequest, done: "Event"):
-        # The "post" stage of the send breakdown: lock wait + REGs
-        # programming + doorbell, ending when the device owns the WR.
-        # Joins the caller's trace when the work request carries one
-        # (auth_send injects its root context into request.meta).
-        span = span_begin(self.sim, "tnic.post",
-                          parent=trace_extract(self.sim, request.meta),
-                          qp=request.qp_number, bytes=request.length)
-        yield self.process.exclusive_regs()
+    def _post_locked(self, op: Stages, event: "Event | None" = None) -> None:
+        """Post one work request: take the REG-page lock, program the
+        registers, hand the WR to the device, await its completion.
+
+        Called by :meth:`post` and re-entered by ``op.resume`` when the
+        lock is granted (``_LOCKED``) and when the device completes
+        (``_COMPLETED``).  The lock is released on both exits of the
+        ``_LOCKED`` stage, the only one that holds it.
+        """
+        request: WorkRequest = op.args
+        if event is None:
+            # The "post" stage of the send breakdown: lock wait + REGs
+            # programming + doorbell, ending when the device owns the WR.
+            # Joins the caller's trace when the work request carries one
+            # (auth_send injects its root context into request.meta).
+            op.span = span_begin(self.sim, "tnic.post",
+                                 parent=trace_extract(self.sim, request.meta),
+                                 qp=request.qp_number, bytes=request.length)
+            op.wait(self.process.exclusive_regs(), _LOCKED)
+            return
+        if op.step == _COMPLETED:
+            self.process.regs.post_status(completions=1)
+            op.done.succeed(event._value)
+            return
         try:
             payload = self.region_for_address(
                 request.local_addr, request.length
@@ -142,10 +161,10 @@ class RdmaLibrary:
             )
             regs.write_u64(RegField.CTRL_DOORBELL, 1)
             meta = dict(request.meta)
-            if span:
+            if op.span:
                 # Hand the device *this* stage's context so tnic.tx
                 # nests under tnic.post in the causal tree.
-                trace_inject(self.sim, meta, span)
+                trace_inject(self.sim, meta, op.span)
             if request.opcode is RdmaOpcode.WRITE:
                 meta["remote_addr"] = request.remote_addr
                 if request.rkey is not None:
@@ -155,20 +174,13 @@ class RdmaLibrary:
             )
         except Exception as exc:
             self.process.release_regs()
-            span.end(status="error")
-            done.fail(exc)
+            op.fail(exc)
             return
         self.process.release_regs()
-        span.end(status="ok")
+        op.span.end(status="ok")
         count(self.sim, "rdma.posted", qp=request.qp_number)
         self.tx_posted[request.qp_number] = self.tx_posted.get(request.qp_number, 0) + 1
-        try:
-            completion = yield completion_event
-        except Exception as exc:
-            done.fail(exc)
-            return
-        self.process.regs.post_status(completions=1)
-        done.succeed(completion)
+        op.wait(completion_event, _COMPLETED)
 
     # ------------------------------------------------------------------
     # Receiving

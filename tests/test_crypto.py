@@ -1,7 +1,10 @@
 """Unit tests for the cryptographic substrate."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.dma import DmaEngine
 from repro.crypto import (
     Certificate,
     CertificateError,
@@ -16,7 +19,8 @@ from repro.crypto import (
 )
 from repro.crypto.certificates import verify_chain
 from repro.crypto.hashing import canonical_bytes
-from repro.sim import Simulator
+from repro.sim import Resource, Simulator
+from repro.sim.latency import PCIE_BANDWIDTH_BYTES_PER_US, tnic_hmac_pipeline_us
 
 KEY = b"0123456789abcdef0123456789abcdef"
 
@@ -85,6 +89,111 @@ def test_hmac_engine_serialises_concurrent_ops():
     assert len(finish_times) == 2
     # Second op queues behind the first: roughly double the time.
     assert finish_times[1] == pytest.approx(2 * finish_times[0], rel=0.01)
+
+
+# ---------------------------------------------------------------------------
+# Closed-form FIFO servers vs. the process-driven reference
+# ---------------------------------------------------------------------------
+
+class _ProcessHmacPipeline:
+    """Reference: the HMAC pipeline as a capacity-1 Resource plus one
+    process per occupancy (acquire, timeout, release, then trigger)."""
+
+    def __init__(self, sim):
+        self.sim = sim
+        self.lock = Resource(sim, capacity=1)
+
+    def occupy(self, size):
+        done = self.sim.event()
+        self.sim.process(self._run(size, done))
+        return done
+
+    def _run(self, size, done):
+        yield self.lock.acquire()
+        try:
+            yield self.sim.timeout(tnic_hmac_pipeline_us(size))
+        finally:
+            self.lock.release()
+        done.succeed(size)
+
+
+class _ProcessDma:
+    """Reference: a DMA transfer as a setup ``delayed_call`` that starts
+    a serialised pipe transfer, whose completion triggers ``done``."""
+
+    def __init__(self, sim, synchronous):
+        self.sim = sim
+        self.setup = DmaEngine(sim, synchronous).setup_cost_us()
+        self.bandwidth = PCIE_BANDWIDTH_BYTES_PER_US
+        self.busy_until = 0.0
+
+    def transfer(self, size):
+        done = self.sim.event()
+
+        def start():
+            now = self.sim.now
+            begin = max(now, self.busy_until)
+            self.busy_until = begin + size / self.bandwidth
+            # busy_until + propagation - now, the DMA pipe's 0.0 delay
+            moved = self.sim.timeout(self.busy_until + 0.0 - now)
+            moved.callbacks.append(lambda _event: done.succeed(size))
+
+        self.sim.delayed_call(self.setup, start)
+        return done
+
+
+def _completions(make_server, submit, arrivals):
+    """Run *arrivals* (``(at_us, size)``) against one server; return the
+    ``(request index, completion instant)`` list in completion order."""
+    sim = Simulator()
+    server = make_server(sim)
+    finished = []
+
+    def arrive(index, size):
+        event = submit(server, size)
+        event.callbacks.append(
+            lambda _event: finished.append((index, sim.now)))
+
+    for index, (at, size) in enumerate(arrivals):
+        sim.delayed_call(at, lambda i=index, n=size: arrive(i, n))
+    sim.run()
+    return finished
+
+
+#: Arrival schedules with plenty of same-instant arrivals (gap 0) and
+#: arrivals while the server is still busy.
+_schedules = st.lists(
+    st.tuples(
+        st.one_of(st.just(0.0), st.floats(0.0, 40.0, allow_nan=False)),
+        st.integers(0, 9000),
+    ),
+    min_size=1,
+    max_size=30,
+).map(lambda gaps: [
+    (sum(gap for gap, _ in gaps[: index + 1]), size)
+    for index, (_, size) in enumerate(gaps)
+])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_schedules)
+def test_closed_form_hmac_engine_matches_process_reference(arrivals):
+    closed = _completions(HmacEngine, lambda e, n: e.occupy(n), arrivals)
+    reference = _completions(
+        _ProcessHmacPipeline, lambda e, n: e.occupy(n), arrivals)
+    assert closed == reference  # exact floats, same order
+
+
+@settings(max_examples=150, deadline=None)
+@given(_schedules, st.booleans())
+def test_single_event_dma_matches_process_reference(arrivals, synchronous):
+    closed = _completions(
+        lambda sim: DmaEngine(sim, synchronous=synchronous),
+        lambda d, n: d.transfer(n), arrivals)
+    reference = _completions(
+        lambda sim: _ProcessDma(sim, synchronous),
+        lambda d, n: d.transfer(n), arrivals)
+    assert closed == reference  # exact floats, same order
 
 
 def test_rsa_sign_verify():

@@ -1,15 +1,24 @@
 """Edge-case tests for the device datapath, DMA and transport limits."""
 
+import random
+from collections import deque
+
 import pytest
 
+from repro.api import Cluster, ops
 from repro.core import TnicDevice
+from repro.core.attestation import UnknownSessionError
 from repro.core.device import ReadTimeout
 from repro.core.dma import DmaEngine
 from repro.net import ArpServer, Link, NetworkFault
+from repro.net.packet import RdmaOpcode
 from repro.roce import QueuePair
 from repro.roce.transport import TransportError
 from repro.sim import Simulator
 from repro.sim.latency import TNIC_PCIE_TRANSFER_US
+from repro.stack.memory import MemoryError_
+from repro.stack.rdma_lib import WorkRequest
+from repro.telemetry import Telemetry
 
 KEY = b"edge-case-key-0123456789abcdef!!"
 SESSION = 3
@@ -187,3 +196,136 @@ def test_untrusted_device_stats_zero_attest():
     stats = device.stats()
     assert stats.attestations == 0
     assert stats.verifications == 0
+
+
+# ----------------------------------------------------------------------
+# Failure paths of the process-free datapath (Stages machines)
+# ----------------------------------------------------------------------
+
+def _cluster_with_stray_qp():
+    """A connected a->b pair plus a second, never-connected QP on a
+    (with its own session, so its attestations leave the pair's send
+    counter alone)."""
+    cluster = Cluster(["a", "b"])
+    conn, _peer = cluster.connect("a", "b")
+    node = cluster["a"]
+    session_id, key = cluster.sessions.new_session()
+    node.device.install_session(session_id, key)
+    stray = node.ibv_qp_conn(cluster["b"].ip, session_id)
+    return cluster, conn, stray
+
+
+def _post(conn, qp_number, payload, address=None):
+    request = WorkRequest(
+        opcode=RdmaOpcode.SEND,
+        qp_number=qp_number,
+        local_addr=conn.stage(payload) if address is None else address,
+        length=len(payload),
+    )
+    return conn.node.rdma.post(request)
+
+
+def test_post_on_unconnected_qp_fails_and_frees_the_reg_page():
+    cluster, conn, stray = _cluster_with_stray_qp()
+    sim = cluster.sim
+    hub = Telemetry.attach(sim)
+    failed = _post(conn, stray.qp_number, b"nowhere")
+    with pytest.raises(TransportError, match="not connected"):
+        sim.run(failed)
+    assert not conn.node.rdma.process.contended
+    tx = hub.spans.spans("tnic.tx")
+    assert [span.labels["status"] for span in tx] == ["error"]
+    # The next post on the connected QP still goes through.
+    entry = sim.run(ops.auth_send(conn, b"after"))
+    assert entry.ok
+    assert ops.recv(cluster["b"].connections[0])["payload"] == b"after"
+
+
+def test_post_error_while_holding_the_lock_releases_it():
+    cluster, conn, _stray = _cluster_with_stray_qp()
+    sim = cluster.sim
+    hub = Telemetry.attach(sim)
+    # An address outside registered ibv memory fails while the REG page
+    # is held: the post must fail, end its span and release the page.
+    failed = _post(conn, conn.qp_number, b"x", address=0x10)
+    with pytest.raises(MemoryError_):
+        sim.run(failed)
+    assert not conn.node.rdma.process.contended
+    assert [span.labels["status"] for span in hub.spans.spans("tnic.post")] \
+        == ["error"]
+    assert sim.run(_post(conn, conn.qp_number, b"next")).ok
+
+
+def test_local_attest_on_unknown_session_fails_done():
+    sim = Simulator()
+    device = TnicDevice(sim, 1, "10.0.0.1", "m-a", ArpServer())
+    with pytest.raises(UnknownSessionError):
+        sim.run(device.local_attest(404, b"payload"))
+
+
+def test_local_verify_on_unknown_session_fails_done():
+    sim = Simulator()
+    device = TnicDevice(sim, 1, "10.0.0.1", "m-a", ArpServer())
+    device.install_session(SESSION, KEY)
+    message = sim.run(device.local_attest(SESSION, b"payload"))
+    assert sim.run(device.local_verify(SESSION, message)) is True
+    with pytest.raises(UnknownSessionError):
+        sim.run(device.local_verify(404, message))
+
+
+def test_untrusted_device_sends_without_attesting():
+    cluster = Cluster(["a", "b"], trusted=False)
+    conn, peer = cluster.connect("a", "b")
+    hub = Telemetry.attach(cluster.sim)
+    assert cluster.sim.run(ops.auth_send(conn, b"plain")).ok
+    item = ops.recv(peer)
+    assert item["payload"] == b"plain" and item["message"] is None
+    stages = sorted(span.name for span in hub.spans.spans()
+                    if span.name in ("tnic.dma", "attest.hmac", "roce.tx"))
+    assert stages == ["roce.tx", "tnic.dma"]
+    assert cluster["a"].device.stats().attestations == 0
+
+
+class _EventCounter:
+    """``Simulator.profiler`` hook that only counts processed events."""
+
+    events = 0
+
+    @staticmethod
+    def clock() -> int:
+        return 0
+
+    def account(self, event, callbacks, when, elapsed) -> None:
+        self.events += 1
+
+
+#: Events per ``auth_send`` measured on the seeded run below: one
+#: scheduled completion per DMA and HMAC occupancy and no process per
+#: post, send or occupancy (a process per stage costs 30.41).
+EVENTS_PER_SEND_CEILING = 18.41
+
+
+def test_events_per_auth_send_stay_at_the_process_free_count():
+    messages, in_flight = 200, 8
+    rng = random.Random("events-per-send")
+    payloads = [rng.randbytes(rng.choice((64, 256, 1024, 4096)))
+                for _ in range(messages)]
+    cluster = Cluster(["a", "b"], fault=NetworkFault(drop_probability=0.01),
+                      seed=3)
+    sender, receiver = cluster.connect("a", "b")
+    sim = cluster.sim
+    counter = _EventCounter()
+    sim.profiler = counter
+
+    def client():
+        pending = deque()
+        for payload in payloads:
+            if len(pending) == in_flight:
+                yield pending.popleft()
+            pending.append(ops.auth_send(sender, payload))
+        while pending:
+            yield pending.popleft()
+
+    sim.run(sim.process(client()))
+    assert [ops.recv(receiver)["payload"] for _ in payloads] == payloads
+    assert counter.events / messages <= EVENTS_PER_SEND_CEILING

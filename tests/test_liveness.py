@@ -29,7 +29,6 @@ import pytest
 from repro.analysis.liveness import (
     ACQUIRE_VERBS,
     LIVENESS_RULES,
-    SELF_RELEASING,
     LivenessEngine,
     wait_graph,
 )
@@ -152,10 +151,9 @@ def test_fixture_leak_inventory_is_pre_waiver():
 
 
 def test_engine_vocabulary_is_consistent():
-    # Every acquire verb has a release verb, and the self-releasing
-    # helpers are not acquire verbs (their callee owns the span).
+    # Every acquire verb has a release verb.
     assert set(ACQUIRE_VERBS) == {"acquire", "request", "exclusive_regs"}
-    assert SELF_RELEASING.isdisjoint(ACQUIRE_VERBS)
+    assert all(ACQUIRE_VERBS.values())
 
 
 def test_engine_hits_are_deterministically_ordered():

@@ -1,5 +1,7 @@
 """Integration tests: RoCE reliable transport between two TNIC devices."""
 
+from collections import deque
+
 import pytest
 
 from repro.core import TnicDevice
@@ -83,6 +85,35 @@ def test_retransmission_recovers_from_drops():
     sim.run()
     assert [i["payload"] for i in b.drain(2)] == payloads
     assert a.roce.tables.get(1).retransmissions > 0
+
+
+def test_send_completions_carry_their_own_msn_under_loss():
+    """A cumulative ACK completes every message it covers, each with
+    that message's MSN, not the MSN of the message the ACK names; and
+    an ACK names its message by its own MSN, re-ACKs of duplicates
+    included."""
+    fault = NetworkFault(drop_probability=0.02)
+    sim, a, b = build_pair(fault=fault, rng_seed=1)
+    entries = []
+    acks = []
+    a.mac.rx_tap = lambda packet: acks.append(packet) if (
+        packet.bth.opcode is RdmaOpcode.ACK) else None
+
+    def client():
+        in_flight = deque()
+        for index in range(300):
+            if len(in_flight) == 8:
+                entries.append((yield in_flight.popleft()))
+            in_flight.append(a.send(1, b"m%d" % index))
+        while in_flight:
+            entries.append((yield in_flight.popleft()))
+
+    sim.run(sim.process(client()))
+    assert a.stats().retransmissions > 0
+    assert [entry.msn for entry in entries] == list(range(300))
+    # One packet per message here, so a correct ACK has msn == psn.
+    assert len(acks) > 300
+    assert all(ack.meta["msn"] == ack.bth.psn for ack in acks)
 
 
 def test_duplicates_are_not_delivered_twice():

@@ -208,6 +208,29 @@ def test_pipe_serialises_transfers():
     assert pipe.bytes_transferred == 300
 
 
+def test_timeout_at_lands_on_the_exact_instant():
+    # At this (now, when) pair, now + (when - now) rounds to one ulp
+    # below when: a relative timeout cannot hit the instant a
+    # closed-form server computed, an absolute one must.
+    now, when = 2.0627555243506355, 7.885714632509235
+    assert now + (when - now) != when
+    sim = Simulator()
+    fired = {}
+
+    def arm(_event):
+        sim.timeout_at(when, "abs").callbacks.append(
+            lambda event: fired.setdefault(event.value, sim.now))
+        sim.timeout(when - now, "rel").callbacks.append(
+            lambda event: fired.setdefault(event.value, sim.now))
+
+    sim.timeout(now).callbacks.append(arm)
+    sim.run()
+    assert fired["abs"] == when
+    assert fired["rel"] != when
+    with pytest.raises(ValueError, match="past"):
+        sim.timeout_at(when - 1.0)
+
+
 def test_rng_determinism_and_stream_independence():
     a1 = DeterministicRng(7, "x")
     a2 = DeterministicRng(7, "x")
